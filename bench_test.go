@@ -99,6 +99,16 @@ func BenchmarkTensorMatMul128(b *testing.B) {
 	}
 }
 
+// parallelDegrees is the kernel parallelism the *Parallel benchmarks
+// compare: 1 and all cores, or just 1 when GOMAXPROCS is 1 (a second
+// p1 run would only print a duplicate row).
+func parallelDegrees() []int {
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		return []int{1, n}
+	}
+	return []int{1}
+}
+
 // BenchmarkTensorMatMulParallel measures the blocked matmul kernel at
 // parallelism 1 vs all cores; the ratio is the kernel-level speedup the
 // shared worker pool delivers on this machine (compare across PRs via
@@ -108,7 +118,7 @@ func BenchmarkTensorMatMulParallel(b *testing.B) {
 	x := tensor.Randn(rng, 1, 256, 256)
 	y := tensor.Randn(rng, 1, 256, 256)
 	out := tensor.New(256, 256)
-	for _, p := range []int{1, runtime.GOMAXPROCS(0)} {
+	for _, p := range parallelDegrees() {
 		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
 			defer tensor.SetParallelism(tensor.SetParallelism(p))
 			b.ReportAllocs()
@@ -124,7 +134,7 @@ func BenchmarkTensorMatMulParallel(b *testing.B) {
 // forward pass (the CNN hot path) at parallelism 1 vs all cores.
 func BenchmarkConvForwardParallel(b *testing.B) {
 	g := tensor.ConvGeom{InC: 8, InH: 32, InW: 32, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	for _, p := range []int{1, runtime.GOMAXPROCS(0)} {
+	for _, p := range parallelDegrees() {
 		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
 			defer tensor.SetParallelism(tensor.SetParallelism(p))
 			rng := rand.New(rand.NewSource(2))
@@ -242,21 +252,22 @@ func BenchmarkPipelineRuntimeEpoch(b *testing.B) {
 	}
 }
 
-// benchServe drives an 8-stage serving pipeline closed-loop from 64
-// concurrent clients, one row per request. BenchmarkServeBatch1 pins
-// MaxBatch to 1 (every request travels alone — the no-batching
-// baseline); BenchmarkServeDynamic lets the batcher coalesce up to 16
-// rows. The ratio of the two is the dynamic-batching speedup at
-// saturation: the model is compute-trivial, so per-batch pipeline
-// overhead (message hops, worker scheduling, demux bookkeeping)
-// dominates — exactly the regime batching exists for. Kernel
-// parallelism is pinned to 1 so tiny matmuls don't pay fan-out costs.
+// benchServe drives an 8-stage serving pipeline closed-loop from the
+// given number of concurrent clients, one row per request.
+// BenchmarkServeBatch1 pins MaxBatch to 1 (every request travels alone —
+// the no-batching baseline); BenchmarkServeDynamic lets the batcher
+// coalesce up to 16 rows from 128 clients. The ratio of the two is the
+// dynamic-batching speedup at saturation: the model is compute-trivial,
+// so per-batch pipeline overhead (message hops, worker scheduling, demux
+// bookkeeping) dominates — exactly the regime batching exists for.
+// Kernel parallelism is pinned to 1 so tiny matmuls don't pay fan-out
+// costs.
 //
 // unfused selects the pre-fusion forward path (training kernels, no
 // arenas); BenchmarkServeDynamicUnfused against BenchmarkServeDynamic is
 // the before/after of the fused inference hot path. Each run also
 // reports the median end-to-end request latency as p50_us.
-func benchServe(b *testing.B, maxBatch int, unfused bool) {
+func benchServe(b *testing.B, clients, maxBatch int, timeout time.Duration, unfused bool) {
 	rng := rand.New(rand.NewSource(9))
 	layers := make([]nn.Layer, 8)
 	for i := range layers {
@@ -267,7 +278,7 @@ func benchServe(b *testing.B, maxBatch int, unfused bool) {
 		Model:             model,
 		Plan:              mustStraightPlan(b, 8, 8),
 		MaxBatch:          maxBatch,
-		BatchTimeout:      500 * time.Microsecond,
+		BatchTimeout:      timeout,
 		QueueCap:          4096,
 		MaxInFlight:       16,
 		KernelParallelism: 1,
@@ -281,7 +292,6 @@ func benchServe(b *testing.B, maxBatch int, unfused bool) {
 	for i := range inputs {
 		inputs[i] = tensor.RandUniform(rng, -1, 1, 1, 8)
 	}
-	const clients = 128
 	lats := make([][]float64, clients)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -312,9 +322,20 @@ func benchServe(b *testing.B, maxBatch int, unfused bool) {
 	}
 }
 
-func BenchmarkServeBatch1(b *testing.B)         { benchServe(b, 1, false) }
-func BenchmarkServeDynamic(b *testing.B)        { benchServe(b, 16, false) }
-func BenchmarkServeDynamicUnfused(b *testing.B) { benchServe(b, 16, true) }
+func BenchmarkServeBatch1(b *testing.B)  { benchServe(b, 128, 1, 500*time.Microsecond, false) }
+func BenchmarkServeDynamic(b *testing.B) { benchServe(b, 128, 16, 500*time.Microsecond, false) }
+func BenchmarkServeDynamicUnfused(b *testing.B) {
+	benchServe(b, 128, 16, 500*time.Microsecond, true)
+}
+
+// BenchmarkServeLone is the idle-latency case: one closed-loop client, so
+// the pipeline is empty whenever a request arrives, under the default
+// MaxBatch and BatchTimeout (16, 2 ms). A work-conserving batcher
+// dispatches each request at once; one that holds partial batches for
+// the timeout shows p50_us above 2000.
+func BenchmarkServeLone(b *testing.B) {
+	benchServe(b, 1, serve.DefaultMaxBatch, serve.DefaultBatchTimeout, false)
+}
 
 // deviceLayer is an identity layer that sleeps: a stand-in for a
 // device-bound stage (an accelerator kernel the CPU only launches), so

@@ -89,7 +89,7 @@ func main() {
 	pollInterval := flag.Duration("poll-interval", time.Second, "how often -follow polls each checkpoint directory")
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "max rows coalesced into one pipeline batch (1 disables dynamic batching)")
-	batchTimeout := flag.Duration("batch-timeout", serve.DefaultBatchTimeout, "max wait after the first queued request before dispatching a partial batch")
+	batchTimeout := flag.Duration("batch-timeout", serve.DefaultBatchTimeout, "max wait, while the pipeline is busy, after the first queued request before dispatching a partial batch (an idle pipeline dispatches at once)")
 	queueCap := flag.Int("queue-cap", serve.DefaultQueueCap, "max requests waiting for batching per replica before new ones are shed with 429")
 	maxInFlight := flag.Int("max-inflight", 0, "max batches concurrently inside each replica's stage pipeline (0 = 2x stages)")
 	healthRate := flag.Float64("health-error-rate", 0, "sliding-window failure rate at which a replica is ejected from routing, 0..1 (0 disables router health checks)")
@@ -329,6 +329,10 @@ func aggregateServe(ts fleet.TenantStats) serve.Stats {
 		agg.Shed += st.Shed
 		agg.Errors += st.Errors
 		agg.Batches += st.Batches
+		agg.DispatchFull += st.DispatchFull
+		agg.DispatchDeadline += st.DispatchDeadline
+		agg.DispatchIdle += st.DispatchIdle
+		agg.DispatchSplit += st.DispatchSplit
 		agg.Swaps += st.Swaps
 		rowsTotal += float64(st.Rows)
 		agg.P50Micros = math.Max(agg.P50Micros, st.P50Micros)

@@ -14,6 +14,7 @@ import (
 	"pipedream/internal/nn"
 	"pipedream/internal/partition"
 	"pipedream/internal/serve"
+	"pipedream/internal/serve/fleet"
 	"pipedream/internal/tensor"
 )
 
@@ -162,5 +163,26 @@ func TestHandleInferMethodNotAllowed(t *testing.T) {
 	handleInfer(infer, inputShape, rec, req)
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /infer: status %d, want 405", rec.Code)
+	}
+}
+
+// TestHealthzSumsDispatchCauses: /healthz reports the batcher's dispatch
+// causes summed over the tenant's replicas.
+func TestHealthzSumsDispatchCauses(t *testing.T) {
+	ts := fleet.TenantStats{Replicas: []fleet.ReplicaStats{
+		{Serve: serve.Stats{Batches: 7, DispatchFull: 1, DispatchDeadline: 2, DispatchIdle: 3, DispatchSplit: 1}},
+		{Serve: serve.Stats{Batches: 5, DispatchFull: 4, DispatchIdle: 1}},
+	}}
+	agg := aggregateServe(ts)
+	if agg.DispatchFull != 5 || agg.DispatchDeadline != 2 || agg.DispatchIdle != 4 || agg.DispatchSplit != 1 {
+		t.Fatalf("aggregated dispatch causes full/deadline/idle/split = %d/%d/%d/%d, want 5/2/4/1",
+			agg.DispatchFull, agg.DispatchDeadline, agg.DispatchIdle, agg.DispatchSplit)
+	}
+	body, err := json.Marshal(healthz{Stats: agg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(body, []byte(`"DispatchIdle":4`)) {
+		t.Errorf("/healthz body lacks DispatchIdle: %s", body)
 	}
 }

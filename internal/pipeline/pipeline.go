@@ -980,7 +980,11 @@ func (sw *stageWorker) forward(m transport.Message, ab *runAbort) (transport.Mes
 		// with different replication factors can translate them: this
 		// stage's version after u local updates reflects u·replicas
 		// minibatches. Use the newest version not exceeding the tag.
-		key, v := sw.lookupVersion(m.Version)
+		key, v, err := sw.lookupVersion(m.Version)
+		if err != nil {
+			ab.fail(err)
+			return transport.Message{}, false, err
+		}
 		stashed = v
 		if key != sw.reflected() {
 			// Compute with the stashed (older) version, then put the
@@ -1328,9 +1332,9 @@ func (sw *stageWorker) applyUpdate(params, grads []*tensor.Tensor) {
 func (sw *stageWorker) reflected() int { return sw.updates * sw.replicas() }
 
 // lookupVersion returns the newest stored weight version whose reflected
-// count does not exceed the tag. It panics if no such version survives —
-// that would mean pruning outran an in-transit minibatch.
-func (sw *stageWorker) lookupVersion(tag int) (int, []*tensor.Tensor) {
+// count does not exceed the tag. It returns an error if no such version
+// survives — that would mean pruning outran an in-transit minibatch.
+func (sw *stageWorker) lookupVersion(tag int) (int, []*tensor.Tensor, error) {
 	bestKey := -1
 	var best []*tensor.Tensor
 	for k, v := range sw.versions {
@@ -1339,10 +1343,10 @@ func (sw *stageWorker) lookupVersion(tag int) (int, []*tensor.Tensor) {
 		}
 	}
 	if best == nil {
-		panic(fmt.Sprintf("pipeline: worker %d has no weight version ≤ tag %d (have %d updates over %d replicas)",
-			sw.id, tag, sw.updates, sw.replicas()))
+		return 0, nil, fmt.Errorf("pipeline: worker %d has no weight version ≤ tag %d (have %d updates over %d replicas)",
+			sw.id, tag, sw.updates, sw.replicas())
 	}
-	return bestKey, best
+	return bestKey, best, nil
 }
 
 // runnableForward reports whether a forward for the CURRENT Run window is

@@ -245,6 +245,37 @@ func TestVerticalSyncRunsAndPrunesVersions(t *testing.T) {
 	}
 }
 
+// TestPrunedVersionFailsRun: a vertical-sync worker whose version table
+// holds no version at or below a minibatch's tag (pruning outran an
+// in-transit tag) fails the run with an error instead of panicking.
+func TestPrunedVersionFailsRun(t *testing.T) {
+	factory := mlpFactory(71, 4, 8, 3)
+	p, err := New(Options{
+		ModelFactory: factory,
+		Plan:         evenPlan(t, factory, 2, 1),
+		Loss:         nn.SoftmaxCrossEntropy,
+		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.1, 0, 0) },
+		Mode:         VerticalSync,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	sw := p.workers[0]
+	sw.versions = map[int][]*tensor.Tensor{5: nn.SnapshotParams(sw.model.Params())}
+	if _, _, err := sw.lookupVersion(3); err == nil {
+		t.Fatal("lookupVersion(3) with only version 5 stored: no error")
+	}
+	ab := newRunAbort(nil)
+	m := transport.Message{Kind: transport.Activation, Minibatch: 0, Version: 3, Tensor: tensor.New(2, 4)}
+	if _, _, err := sw.forward(m, ab); err == nil {
+		t.Fatal("forward on a pruned version: no error")
+	}
+	if !ab.failed() || ab.error() == nil {
+		t.Fatal("forward on a pruned version did not fail the run")
+	}
+}
+
 func TestVerticalSyncMatchesSequentialAtDepthOne(t *testing.T) {
 	// Depth 1 vertical sync is also staleness-free.
 	factory := mlpFactory(7, 4, 8, 3)

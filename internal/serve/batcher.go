@@ -16,18 +16,38 @@ type piece struct {
 	n  int
 }
 
-// batcher is the coalescing loop: it blocks for the first queued
-// request, then collects more until the batch holds MaxBatch rows,
-// BatchTimeout elapses, or a request with a different per-row shape
-// arrives (which ends the batch and seeds the next one — requests with
-// different shapes never share a batch).
+// Dispatch causes: why the batcher closed a batch. Each dispatch counts
+// one cause in the serve.dispatch_* counters.
+const (
+	causeFull     = iota // the batch reached MaxBatch rows
+	causeDeadline        // BatchTimeout elapsed while the pipeline was busy
+	causeIdle            // the pipeline was (or became) empty
+	causeSplit           // the next request could not join the batch
+	numCauses
+)
+
+// batcher is the coalescing loop. It is work-conserving, like the input
+// stage of PipeDream's steady state: it blocks for the first queued
+// request (the seed), and if no batch is in flight — the whole pipeline
+// is empty — it takes whatever is already queued without waiting and
+// dispatches at once. Otherwise it collects more requests until the
+// batch holds MaxBatch rows, the last in-flight batch leaves the
+// pipeline, BatchTimeout elapses, or a request that cannot join arrives
+// (a different head or per-row shape, or a full quota window), which
+// ends the batch and seeds the next one.
 //
-// The deadline runs from the first request, so a lone request waits at
-// most BatchTimeout and a full batch dispatches immediately.
+// So BatchTimeout bounds only the wait while the pipeline is busy: a
+// lone request on an idle server dispatches immediately, and a full
+// batch never waits.
 func (s *Server) batcher() {
 	defer s.wg.Done()
 	nextID := 0
 	var carry *request
+	// One timer and one batch slice serve every iteration, so the
+	// dispatch loop allocates neither per batch.
+	timer := time.NewTimer(s.cfg.BatchTimeout)
+	timer.Stop()
+	var buf []*request
 	for {
 		var first *request
 		if carry != nil {
@@ -47,10 +67,15 @@ func (s *Server) batcher() {
 			first.resp <- result{err: ErrServerClosed}
 			return
 		}
-		batch := []*request{first}
+		batch := append(buf[:0], first)
 		rows := first.rows
-		if rows < s.cfg.MaxBatch {
-			timer := time.NewTimer(s.cfg.BatchTimeout)
+		cause := causeFull
+		switch {
+		case rows >= s.cfg.MaxBatch:
+		case len(s.inflight) == 0:
+			batch, rows, carry, cause = s.fill(batch, rows)
+		default:
+			timer.Reset(s.cfg.BatchTimeout)
 		collect:
 			for rows < s.cfg.MaxBatch {
 				select {
@@ -64,29 +89,78 @@ func (s *Server) batcher() {
 					}
 					return
 				case req := <-s.queue:
-					// Growing a batch must never block on the quota —
-					// batch members already hold in-flight slots and
-					// complete only after dispatch, so a blocking wait
-					// here could be on this very batch (deadlock). A
-					// full window instead ends the batch: the request
-					// carries over and blocking-promotes as the next
-					// seed, after this batch has been dispatched.
-					// Requests for different heads travel different stage
-					// routes, so they never share a batch either.
-					if req.head != first.head || !s.quotaTryPromote(req) || !sameRowShape(req.x, first.x) {
-						carry = req
+					if !s.joins(first, req) {
+						carry, cause = req, causeSplit
 						break collect
 					}
 					batch = append(batch, req)
 					rows += req.rows
+				case <-s.idle:
+					// The signal may be stale (sent while no batch was
+					// collecting); act on it only if the pipeline is
+					// still empty.
+					if len(s.inflight) == 0 {
+						batch, rows, carry, cause = s.fill(batch, rows)
+						break collect
+					}
 				case <-timer.C:
+					cause = causeDeadline
 					break collect
 				}
 			}
 			timer.Stop()
 		}
+		s.met.dispatch[cause].Inc()
 		s.met.queueDepth.Set(int64(len(s.queue)))
 		nextID = s.dispatch(batch, nextID)
+		clear(batch) // drop request references until the slots are reused
+		buf = batch[:0]
+	}
+}
+
+// fill moves already-queued requests into the batch without blocking.
+// It stops at MaxBatch rows (causeFull), at an empty queue (causeIdle),
+// or at a request that cannot join, which it returns as the next seed
+// (causeSplit).
+func (s *Server) fill(batch []*request, rows int) ([]*request, int, *request, int) {
+	for rows < s.cfg.MaxBatch {
+		select {
+		case req := <-s.queue:
+			if !s.joins(batch[0], req) {
+				return batch, rows, req, causeSplit
+			}
+			batch = append(batch, req)
+			rows += req.rows
+		default:
+			return batch, rows, nil, causeIdle
+		}
+	}
+	return batch, rows, nil, causeFull
+}
+
+// joins reports whether req may join the batch seeded by first: same
+// head (heads travel different stage routes), same per-row shape, and an
+// in-flight quota slot taken without blocking. Growing a batch must
+// never block on the quota — batch members already hold in-flight slots
+// and complete only after dispatch, so a blocking wait here could be on
+// this very batch (deadlock). A full window instead ends the batch: the
+// request carries over and blocking-promotes as the next seed, after
+// this batch has been dispatched.
+func (s *Server) joins(first, req *request) bool {
+	return req.head == first.head && s.quotaTryPromote(req) && sameRowShape(req.x, first.x)
+}
+
+// releaseSlot frees one MaxInFlight slot and, when that empties the
+// pipeline, signals the batcher so a partial batch it is collecting
+// dispatches at once instead of waiting out BatchTimeout. The signal
+// channel holds one token, so a signal is never lost and never blocks.
+func (s *Server) releaseSlot() {
+	<-s.inflight
+	if len(s.inflight) == 0 {
+		select {
+		case s.idle <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -104,40 +178,44 @@ func (s *Server) batcher() {
 // demultiplexer), so a slow pipeline pushes backpressure here rather
 // than queueing without bound inside the transport.
 func (s *Server) dispatch(batch []*request, nextID int) int {
-	prs := make([]*pendingReq, len(batch))
+	// One allocation each for the requests' assembly state, the pieces
+	// and the chunks, however many requests the batch holds.
+	prs := make([]pendingReq, len(batch))
+	total := 0
 	for i, r := range batch {
-		prs[i] = &pendingReq{req: r, remaining: r.rows, firstID: nextID}
+		prs[i] = pendingReq{req: r, remaining: r.rows, firstID: nextID}
+		total += r.rows
 	}
-	// Assign request row ranges to pipeline batches.
-	var chunks [][]piece
-	var cur []piece
-	curRows := 0
-	for _, pr := range prs {
-		off := 0
-		for off < pr.req.rows {
-			n := s.cfg.MaxBatch - curRows
-			if left := pr.req.rows - off; left < n {
-				n = left
-			}
-			cur = append(cur, piece{pr: pr, lo: off, n: n})
+	// Assign request row ranges to pipeline batches. Every request is at
+	// least one piece, and each chunk boundary but the last can cut one
+	// more, which bounds the pieces all chunks share.
+	nchunks := (total + s.cfg.MaxBatch - 1) / s.cfg.MaxBatch
+	pieces := make([]piece, 0, len(prs)+nchunks-1)
+	chunks := make([][]piece, 0, nchunks)
+	start, curRows := 0, 0
+	for i := range prs {
+		pr := &prs[i]
+		for off := 0; off < pr.req.rows; {
+			n := min(s.cfg.MaxBatch-curRows, pr.req.rows-off)
+			pieces = append(pieces, piece{pr: pr, lo: off, n: n})
 			curRows += n
 			off += n
 			if curRows == s.cfg.MaxBatch {
-				chunks = append(chunks, cur)
-				cur, curRows = nil, 0
+				chunks = append(chunks, pieces[start:])
+				start, curRows = len(pieces), 0
 			}
 		}
 	}
-	if len(cur) > 0 {
-		chunks = append(chunks, cur)
+	if start < len(pieces) {
+		chunks = append(chunks, pieces[start:])
 	}
 	// Board every pipeline batch of this dispatch onto the current weight
 	// version in one step. Stamping once per dispatch (not per chunk)
 	// guarantees a request split across several pipeline batches never
 	// straddles a hot-swap: all its chunks run the same generation.
 	v := s.acquireVersion(len(chunks))
-	for _, pr := range prs {
-		pr.gen = v.gen
+	for i := range prs {
+		prs[i].gen = v.gen
 	}
 	rowSize := batch[0].x.Size() / batch[0].x.Dim(0)
 	for _, ps := range chunks {

@@ -20,6 +20,10 @@ type serverMetrics struct {
 
 	swaps *metrics.Counter // serve.swaps: weight hot-swaps installed
 
+	// dispatch counts batcher dispatches by cause, indexed by the cause*
+	// constants: serve.dispatch_{full,deadline,idle,split}.
+	dispatch [numCauses]*metrics.Counter
+
 	batchRows   *metrics.Histogram // serve.batch_rows: rows per dispatched batch
 	latency     *metrics.Histogram // serve.latency_us: request latency, admission→response
 	swapLatency *metrics.Histogram // serve.swap_latency_us: SwapModel slice-and-flip time
@@ -41,6 +45,9 @@ func newServerMetrics(reg *metrics.Registry, oplog *metrics.OpLog, stages int) *
 		m.responses = &metrics.Counter{}
 		m.errors = &metrics.Counter{}
 		m.swaps = &metrics.Counter{}
+		for i := range m.dispatch {
+			m.dispatch[i] = &metrics.Counter{}
+		}
 		m.batchRows = metrics.NewHistogram(metrics.DepthBuckets())
 		m.latency = metrics.NewHistogram(metrics.LatencyBuckets())
 		m.swapLatency = metrics.NewHistogram(metrics.LatencyBuckets())
@@ -58,6 +65,9 @@ func newServerMetrics(reg *metrics.Registry, oplog *metrics.OpLog, stages int) *
 	m.responses = reg.Counter("serve.responses")
 	m.errors = reg.Counter("serve.errors")
 	m.swaps = reg.Counter("serve.swaps")
+	for i, name := range causeNames {
+		m.dispatch[i] = reg.Counter("serve.dispatch_" + name)
+	}
 	m.batchRows = reg.Histogram("serve.batch_rows", metrics.DepthBuckets())
 	m.latency = reg.Histogram("serve.latency_us", metrics.LatencyBuckets())
 	m.swapLatency = reg.Histogram("serve.swap_latency_us", metrics.LatencyBuckets())
@@ -67,6 +77,14 @@ func newServerMetrics(reg *metrics.Registry, oplog *metrics.OpLog, stages int) *
 		m.stageForward[i] = reg.Histogram(fmt.Sprintf("serve.s%d.forward_us", i), metrics.DurationBuckets())
 	}
 	return m
+}
+
+// causeNames are the serve.dispatch_* counter suffixes, by cause.
+var causeNames = [numCauses]string{
+	causeFull:     "full",
+	causeDeadline: "deadline",
+	causeIdle:     "idle",
+	causeSplit:    "split",
 }
 
 // Stats is a point-in-time summary of a server's counters and latency
@@ -88,6 +106,14 @@ type Stats struct {
 	Batches int64
 	// MeanBatchRows is the mean rows per dispatched batch.
 	MeanBatchRows float64
+	// DispatchFull, DispatchDeadline, DispatchIdle and DispatchSplit
+	// count the batcher's dispatches by what closed the batch: MaxBatch
+	// rows reached; BatchTimeout elapsed while the pipeline was busy; the
+	// pipeline was or became empty; the next request could not join (a
+	// different head or row shape, or a full quota window). They count
+	// dispatches, not pipeline batches: a dispatch whose rows exceed
+	// MaxBatch sends several pipeline batches.
+	DispatchFull, DispatchDeadline, DispatchIdle, DispatchSplit int64
 	// WeightGeneration is the checkpoint generation new requests are
 	// served with; it advances on every hot-swap.
 	WeightGeneration int64
@@ -108,6 +134,10 @@ func (s *Server) Stats() Stats {
 		Errors:           s.met.errors.Value(),
 		Batches:          s.met.batches.Value(),
 		MeanBatchRows:    s.met.batchRows.Mean(),
+		DispatchFull:     s.met.dispatch[causeFull].Value(),
+		DispatchDeadline: s.met.dispatch[causeDeadline].Value(),
+		DispatchIdle:     s.met.dispatch[causeIdle].Value(),
+		DispatchSplit:    s.met.dispatch[causeSplit].Value(),
 		WeightGeneration: s.met.weightGen.Value(),
 		Swaps:            s.met.swaps.Value(),
 		P50Micros:        s.met.latency.Quantile(0.50),

@@ -6,12 +6,14 @@
 //
 // Three pieces cooperate:
 //
-//   - A deadline-aware dynamic batcher coalesces queued requests into
-//     pipeline batches of at most MaxBatch rows, waiting at most
-//     BatchTimeout after the first request so a lone request never
-//     stalls. Requests with different per-row shapes never share a
-//     batch; requests larger than MaxBatch are split across batches and
-//     the response is reassembled.
+//   - A work-conserving dynamic batcher coalesces queued requests into
+//     pipeline batches of at most MaxBatch rows. When no batch is in
+//     flight it dispatches whatever is queued at once, so a lone request
+//     on an idle server never waits; while the pipeline is busy it keeps
+//     collecting until the last in-flight batch leaves or BatchTimeout
+//     passes after the first request. Requests with different per-row
+//     shapes never share a batch; requests larger than MaxBatch are
+//     split across batches and the response is reassembled.
 //   - One forward worker per stage runs the stage's layer slice
 //     (train=false) and forwards activations downstream, so consecutive
 //     batches execute concurrently on different stages.
@@ -46,8 +48,9 @@ const (
 	// DefaultMaxBatch is the default cap on rows coalesced into one
 	// pipeline batch.
 	DefaultMaxBatch = 16
-	// DefaultBatchTimeout is the default maximum wait after the first
-	// queued request before a partial batch is dispatched.
+	// DefaultBatchTimeout is the default maximum wait, while the pipeline
+	// is busy, after the first queued request before a partial batch is
+	// dispatched.
 	DefaultBatchTimeout = 2 * time.Millisecond
 	// DefaultQueueCap is the default bound on requests waiting for
 	// batching; submits beyond it shed with ErrOverloaded.
@@ -81,7 +84,11 @@ type Config struct {
 	// benchmark compares against.
 	MaxBatch int
 	// BatchTimeout bounds how long the batcher waits after the first
-	// queued request for more to coalesce (DefaultBatchTimeout when 0).
+	// queued request for more to coalesce while the pipeline is busy
+	// (DefaultBatchTimeout when 0). It never delays a request that
+	// arrives at an empty pipeline: the batcher then dispatches whatever
+	// is queued at once, and a partial batch also dispatches as soon as
+	// the last in-flight batch leaves.
 	BatchTimeout time.Duration
 	// QueueCap bounds the submit queue (DefaultQueueCap when 0); a full
 	// queue sheds new requests with ErrOverloaded instead of growing
@@ -159,6 +166,7 @@ type Server struct {
 
 	queue    chan *request
 	inflight chan struct{} // admission semaphore, one slot per in-flight batch
+	idle     chan struct{} // 1-slot signal: the last in-flight batch left
 	done     chan struct{}
 
 	mu        sync.Mutex
@@ -268,6 +276,7 @@ func NewServer(cfg Config) (*Server, error) {
 		defaultHead: len(stages) - 1,
 		queue:       make(chan *request, cfg.QueueCap),
 		inflight:    make(chan struct{}, cfg.MaxInFlight),
+		idle:        make(chan struct{}, 1),
 		done:        make(chan struct{}),
 		pending:     make(map[int]*batchInfo),
 		met:         newServerMetrics(cfg.Metrics, cfg.OpLog, len(stages)),

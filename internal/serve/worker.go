@@ -316,8 +316,9 @@ func forward(slice *nn.Sequential, x *tensor.Tensor) (y *tensor.Tensor) {
 // so the receive cannot block — and fails its requests with a typed
 // ErrTransport. Without it a lossy transport would leak one admission
 // slot per failure and deadlock the server after MaxInFlight losses.
+// Like the demultiplexer, it wakes the batcher when the pipeline empties.
 func (s *Server) reclaimBatch(id int, cause error) {
-	<-s.inflight
+	s.releaseSlot()
 	s.mu.Lock()
 	info := s.pending[id]
 	delete(s.pending, id)
@@ -337,11 +338,12 @@ func (s *Server) reclaimBatch(id int, cause error) {
 }
 
 // demux is the response loop: it receives the output stage's Prediction
-// messages, releases the batch's in-flight slot, and scatters the output
-// rows back to the submitting requests via the batch's segment table. A
-// request completes when all its rows have arrived (a split request
-// needs several batches); completion records the end-to-end latency
-// histogram and, when an OpLog is configured, an OpRequest span.
+// messages, releases the batch's in-flight slot (waking the batcher when
+// that empties the pipeline), and scatters the output rows back to the
+// submitting requests via the batch's segment table. A request completes
+// when all its rows have arrived (a split request needs several
+// batches); completion records the end-to-end latency histogram and,
+// when an OpLog is configured, an OpRequest span.
 func (s *Server) demux() {
 	defer s.wg.Done()
 	inbox := s.tr.Inbox(s.client)
@@ -356,7 +358,7 @@ func (s *Server) demux() {
 			if m.Kind != transport.Prediction {
 				continue
 			}
-			<-s.inflight
+			s.releaseSlot()
 			s.mu.Lock()
 			info := s.pending[m.Minibatch]
 			delete(s.pending, m.Minibatch)

@@ -25,14 +25,17 @@ go test -run '^$' -bench "$PATTERN" -benchmem \
 # Serving benchmarks: batch-size-1 baseline vs dynamic batching, plus
 # the unfused forward path (training kernels, no arenas) against the
 # fused default. dynamic/batch1 ns-per-op is the batching speedup at
-# saturation; unfused/dynamic is the fused-hot-path speedup. The fleet
-# benchmarks replicate a device-bound pipeline 1/2/4 ways;
-# replicas1/replicas2 ns-per-op is the data-parallel serving speedup
-# (fleet_speedup in the JSON).
+# saturation; unfused/dynamic is the fused-hot-path speedup.
+# BenchmarkServeLone is one closed-loop client on an otherwise idle
+# server: its p50 (lone_p50_us in the JSON) is the latency the batcher
+# adds at light load. The fleet benchmarks replicate a pipeline whose
+# stage is a 1 ms sleep 1/2/4 ways; replicas1/replicas2 ns-per-op is the
+# data-parallel serving speedup (fleet_speedup in the JSON). Those rows
+# are bound by the sleep, not by compute, and the JSON labels them so.
 SERVE_TXT="$OUT_DIR/BENCH_serve.txt"
 SERVE_JSON="$OUT_DIR/BENCH_serve.json"
 
-go test -run '^$' -bench '^BenchmarkServe(Batch1|Dynamic|DynamicUnfused)$|^BenchmarkFleetReplicas[124]$' -benchmem \
+go test -run '^$' -bench '^BenchmarkServe(Batch1|Dynamic|DynamicUnfused|Lone)$|^BenchmarkFleetReplicas[124]$' -benchmem \
   -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$SERVE_TXT"
 
 # Distill "BenchmarkName-P  N  ns/op  B/op  allocs/op" lines to JSON.
@@ -81,8 +84,9 @@ END {
     for (name in sum) {
         if (!first) printf ","
         first = 0
-        printf "\n    {\"name\": \"%s\", \"ns_per_op\": %.1f, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"p50_us\": %s, \"p99_us\": %s}", \
-            name, sum[name] / cnt[name], field(bsum, bcnt, name), field(asum, acnt, name), field(psum, pcnt, name), field(p9sum, p9cnt, name)
+        printf "\n    {\"name\": \"%s\", \"ns_per_op\": %.1f, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"p50_us\": %s, \"p99_us\": %s%s}", \
+            name, sum[name] / cnt[name], field(bsum, bcnt, name), field(asum, acnt, name), field(psum, pcnt, name), field(p9sum, p9cnt, name), \
+            (name ~ /^BenchmarkFleet/ ? ", \"bound_by\": \"1ms sleep per request\"" : "")
     }
     print "\n  ],"
     b1 = sum["BenchmarkServeBatch1"] / cnt["BenchmarkServeBatch1"]
@@ -95,8 +99,12 @@ END {
             psum["BenchmarkServeDynamic"] / pcnt["BenchmarkServeDynamic"], \
             psum["BenchmarkServeDynamicUnfused"] / pcnt["BenchmarkServeDynamicUnfused"]
     }
+    if (pcnt["BenchmarkServeLone"])
+        printf ",\n  \"lone_p50_us\": %.1f", psum["BenchmarkServeLone"] / pcnt["BenchmarkServeLone"]
     # Fleet scaling: req/s and p99 at each replica count, plus the
-    # 2-replica speedup over 1 (the data-parallel serving headline).
+    # 2-replica speedup over 1 (the data-parallel serving headline). The
+    # stage is a 1 ms sleep, so these rows measure overlapped sleeps:
+    # each carries bound_by so it is never read as compute throughput.
     if (cnt["BenchmarkFleetReplicas1"] && cnt["BenchmarkFleetReplicas2"]) {
         printf ",\n  \"fleet\": ["
         ffirst = 1
@@ -105,7 +113,7 @@ END {
             if (!cnt[name]) continue
             if (!ffirst) printf ","
             ffirst = 0
-            printf "\n    {\"replicas\": %d, \"req_per_s\": %.1f, \"p99_us\": %s}", \
+            printf "\n    {\"replicas\": %d, \"req_per_s\": %.1f, \"p99_us\": %s, \"bound_by\": \"1ms sleep per request\"}", \
                 r, 1e9 / (sum[name] / cnt[name]), field(p9sum, p9cnt, name)
         }
         printf "\n  ],\n  \"fleet_speedup\": %.2f", \
